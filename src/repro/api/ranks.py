@@ -202,10 +202,11 @@ def _cell_from_run(
             app_name, machine.name, ranks, threads, run.failures[machine.name]
         )
 
-    # Communication bill from the noise-free model (the measured wall
-    # already contains it; this plane just itemises the network share).
-    counters = run.context.counters_on(machine.isa, machine)
-    comm_cycles = float(counters.comm_cycles.sum(axis=0).max())
+    # Communication bill from the noise-free model, as the measure stage
+    # recorded it (the measured wall already contains it; this plane just
+    # itemises the network share).
+    measurement = run.context.require("measurements")[machine.name]
+    comm_cycles = float(measurement["comm_cycles"].max())
     return RankCell(
         app=app_name,
         machine=machine.name,

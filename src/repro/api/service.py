@@ -175,7 +175,10 @@ class CellSubmission:
         """Lower to the exact request the batch experiments declare.
 
         ``config`` supplies scale-dependent defaults (trace stream
-        length).  Using the experiment modules' own request builders —
+        length).  The request carries no ``max_k``: the cap reaches the
+        digest through the configuration fingerprint, so lower with
+        ``config.with_max_k(self.max_k)`` and a store for that config.
+        Using the experiment modules' own request builders —
         not a parallel construction — is what guarantees the service
         digest equals the scheduler's dedup digest for the same cell.
         """

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from repro.api.context import StageContext
 from repro.api.registry import register_stage
 from repro.api.stage import Stage
@@ -384,7 +386,10 @@ class MeasureStage(Stage):
 
     Per target: the instrumented per-barrier-point means, the clean ROI
     reference, and the per-repetition reads of each selection's
-    representatives.  A target whose barrier sequence disagrees with
+    representatives, and the per-rank network cycles of the noise-free
+    model (``comm_cycles``; one zero for a shared-memory trace), so a
+    warm rank cell reads its communication bill without re-running the
+    program.  A target whose barrier sequence disagrees with
     discovery (HPGMG-FV on ARMv8) is recorded under ``failures`` instead
     of aborting the whole graph.
     """
@@ -401,7 +406,7 @@ class MeasureStage(Stage):
         failures: dict[str, str] = dict(ctx.get("failures", {}))
         for machine in ctx.targets:
             try:
-                ctx.check_compatible(selections[0], machine)
+                counters = ctx.check_compatible(selections[0], machine)
             except CrossArchitectureMismatch as exc:
                 failures[machine.name] = str(exc)
                 continue
@@ -413,6 +418,11 @@ class MeasureStage(Stage):
                 "means": ctx.measured_means(machine),
                 "reference": ctx.reference_totals(machine),
                 "reps": reps,
+                "comm_cycles": (
+                    np.zeros(1)
+                    if counters.comm_cycles is None
+                    else counters.comm_cycles.sum(axis=0)
+                ),
             }
         ctx.put("measurements", measurements)
         ctx.put("failures", failures)
@@ -434,6 +444,7 @@ class MeasureStage(Stage):
                         str(run): {"bp": pair["bp"], "roi": pair["roi"]}
                         for run, pair in entry["reps"].items()
                     },
+                    "comm_cycles": entry["comm_cycles"],
                 }
                 for name, entry in ctx.require("measurements").items()
             },
@@ -451,6 +462,7 @@ class MeasureStage(Stage):
                         int(run): {"bp": pair["bp"], "roi": pair["roi"]}
                         for run, pair in entry["reps"].items()
                     },
+                    "comm_cycles": entry["comm_cycles"],
                 }
                 for name, entry in payload["measurements"].items()
             },

@@ -257,16 +257,7 @@ def _config_from_args(args: argparse.Namespace):
                 f"error: --cell-timeout must be >= 0, got {args.cell_timeout}"
             )
         overrides["cell_timeout"] = args.cell_timeout
-    config = default_config(scale, **overrides)
-    if getattr(args, "max_k", None) is not None:
-        from dataclasses import replace as _replace
-
-        # Layer the cap on the *scale's* simpoint options rather than a
-        # fresh SimPointOptions(): the scale may have picked e.g. a
-        # different clustering algorithm, and --max-k must not silently
-        # reset it.
-        config = _replace(config, simpoint=_replace(config.simpoint, max_k=args.max_k))
-    return config
+    return default_config(scale, **overrides).with_max_k(getattr(args, "max_k", None))
 
 
 def _print_registry(which: str) -> None:

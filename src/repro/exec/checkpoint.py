@@ -96,7 +96,9 @@ class StudyCheckpoint:
         if payload is not None:
             from repro.exec.columnar import write_payload_atomic
 
-            write_payload_atomic(self._payload_path(digest), payload)
+            # durable=False, like the journal: a torn parked payload
+            # reads back as None and the scheduler re-executes the cell.
+            write_payload_atomic(self._payload_path(digest), payload, durable=False)
         self._log.append(
             {"digest": digest, "kind": request.kind, "app": request.app}
         )

@@ -124,6 +124,18 @@ class ExperimentConfig:
             seed=self.seed,
         )
 
+    def with_max_k(self, max_k: int | None) -> "ExperimentConfig":
+        """This configuration with the SimPoint sweep capped at ``max_k``.
+
+        The cap is layered on the scale's own simpoint options rather
+        than a fresh :class:`SimPointOptions`: the scale may have picked
+        e.g. a different clustering algorithm, and the cap must not
+        silently reset it.  None returns the configuration unchanged.
+        """
+        if max_k is None:
+            return self
+        return replace(self, simpoint=replace(self.simpoint, max_k=max_k))
+
 
 def register_config_machines(config: ExperimentConfig) -> None:
     """Register the config's ingested machine specs (idempotent).

@@ -114,6 +114,12 @@ class ReproServer:
             scale: StudyStore(cache_dir, config)
             for scale, config in self.configs.items()
         }
+        #: (config, store) per (scale, max_k): a ``max_k`` submission
+        #: lowers through its own fingerprint, built on first use.
+        self._scoped = {
+            (scale, None): (config, self.stores[scale])
+            for scale, config in self.configs.items()
+        }
         self.journal = ServeJournal(cache_dir)
         self.coalescer = Coalescer(journal=self.journal)
         self.limiter = RateLimiter(rate, burst)
@@ -371,8 +377,11 @@ class ReproServer:
 
     def _lower(self, submission: CellSubmission):
         """Submission → (config, store, request, digest)."""
-        config = self.configs[submission.scale]
-        store = self.stores[submission.scale]
+        key = (submission.scale, submission.max_k)
+        if key not in self._scoped:
+            config = self.configs[submission.scale].with_max_k(submission.max_k)
+            self._scoped[key] = (config, StudyStore(self.cache_dir, config))
+        config, store = self._scoped[key]
         study_request = submission.to_request(config)
         return config, store, study_request, store.digest(study_request)
 

@@ -13,6 +13,13 @@ from repro.ir.regions import Drift, RegionTemplate
 from repro.util.rng import RngTree
 
 
+def pytest_configure(config) -> None:
+    """Register the suite's custom marks (CI fails on unknown ones)."""
+    config.addinivalue_line(
+        "markers", "properties: hypothesis property-based tests"
+    )
+
+
 @pytest.fixture
 def rng_tree() -> RngTree:
     """A deterministic randomness tree for tests."""

@@ -202,6 +202,23 @@ class TestCheckpointResume:
         expected = StudyScheduler(_config()).run(requests)
         assert _canonical_results(results) == _canonical_results(expected)
 
+    def test_torn_parked_payload_recomputes_on_resume(self, tmp_path):
+        """Parked payloads skip the fsync: a torn one heals to a rerun."""
+        cache = str(tmp_path / "cache")
+        request = scaling_request("MCB", 2, MACHINE)
+        first = StudyScheduler(_config(cache_dir=cache))
+        expected = first.run([request])
+        first.checkpoint.close()
+
+        parked = first.checkpoint._payload_path(first.checkpoint.digest(request))
+        parked.write_bytes(parked.read_bytes()[: parked.stat().st_size // 2])
+
+        resumed = StudyScheduler(_config(cache_dir=cache, resume=True))
+        results = resumed.run([request])
+        assert resumed.stats.resumed == 0
+        assert resumed.stats.executed == 1
+        assert _canonical_results(results) == _canonical_results(expected)
+
     def test_without_resume_flag_uncacheable_cells_recompute(self, tmp_path):
         cache = str(tmp_path / "cache")
         request = scaling_request("MCB", 2, MACHINE)

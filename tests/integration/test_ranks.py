@@ -14,6 +14,7 @@ Covers the acceptance properties of the rank PR:
   stage store.
 """
 
+import numpy as np
 import pytest
 
 from repro.api import PipelineConfig, RankStudy
@@ -208,3 +209,58 @@ class TestRankDeterminism:
         build_pipeline("MCB", threads=RANK_THREADS, config=FAST).run(store)
         assert store.stats.hit_count("profile") == 0
         assert store.stats.miss_count("profile") == 1
+
+
+class TestCachedCommBill:
+    """The comm bill rides the measure stage, so warm cells skip the model."""
+
+    def test_warm_cell_does_no_trace_or_perf_model_work(
+        self, tmp_path, monkeypatch
+    ):
+        store = StageStore(tmp_path / "stages")
+        cold = run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST, store=store)
+
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("a warm rank cell re-ran the whole program")
+
+        monkeypatch.setattr(
+            "repro.runtime.distributed.execute_distributed", _forbidden
+        )
+        monkeypatch.setattr("repro.hw.perf.PerfModel.true_counters", _forbidden)
+        warm = run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST, store=store)
+        assert warm.to_payload() == cold.to_payload()
+        assert warm == cold
+        assert cold.comm_mcycles > 0.0
+
+    @staticmethod
+    def _roundtrip(run):
+        from repro.api.codec import decode_payload, encode_payload
+        from repro.api.context import StageContext
+        from repro.api.stages import MeasureStage
+
+        stage = MeasureStage()
+        meta, arrays = encode_payload(stage.encode(run.context))
+        fresh = StageContext(run.context.app, run.context.threads)
+        stage.decode(decode_payload(meta, arrays), fresh)
+        return fresh.require("measurements")
+
+    def test_measure_payload_carries_per_rank_comm_cycles(self):
+        from repro.api.builder import StagePipeline
+        from repro.workloads.distributed import DistributedWorkload
+
+        run = StagePipeline(
+            DistributedWorkload("MCB", ranks=2), RANK_THREADS, False, FAST,
+            stages=default_rank_stages(), targets=(INTEL_I7_3770,),
+        ).run()
+        counters = run.context.counters_on(INTEL_I7_3770.isa, INTEL_I7_3770)
+        comm = self._roundtrip(run)[INTEL_I7_3770.name]["comm_cycles"]
+        assert comm.shape == (2,)
+        assert (comm > 0.0).all()
+        np.testing.assert_array_equal(comm, counters.comm_cycles.sum(axis=0))
+
+    def test_shared_memory_measure_payload_has_zero_comm(self):
+        from repro.api.builder import build_pipeline
+
+        run = build_pipeline("MCB", threads=2, config=FAST).run()
+        for entry in self._roundtrip(run).values():
+            np.testing.assert_array_equal(entry["comm_cycles"], np.zeros(1))

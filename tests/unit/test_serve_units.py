@@ -318,6 +318,38 @@ class TestCoalescer:
         assert "started" in events
 
 
+class TestServeLowering:
+    """The daemon lowers a ``max_k`` submission through its own config."""
+
+    def test_max_k_is_a_distinct_cell_matching_the_batch_cli(self, tmp_path):
+        from repro.cli import _build_parser, _config_from_args
+        from repro.exec.cells import execute_request
+        from repro.exec.scheduler import StudyScheduler, _canonical
+        from repro.serve.server import ReproServer
+
+        server = ReproServer(cache_dir=str(tmp_path))
+        try:
+            fields = dict(
+                kind="scaling", app="graph500", threads=1,
+                machine="Intel Core i7-3770",
+            )
+            _, _, _, default_digest = server._lower(CellSubmission(**fields))
+            config, _, request, digest = server._lower(
+                CellSubmission(max_k=3, **fields)
+            )
+            assert digest != default_digest
+            assert server._lower(CellSubmission(max_k=3, **fields))[3] == digest
+            served = execute_request(request, config)
+        finally:
+            server.journal.close()
+
+        args = _build_parser().parse_args(
+            ["scaling", "--quick", "--max-k", "3", "--no-cache"]
+        )
+        batch = StudyScheduler(_config_from_args(args)).run([request])[request]
+        assert _canonical(served) == _canonical(batch)
+
+
 class TestServeRegressionGate:
     """The serve suite gates throughput and latency in opposite directions."""
 
