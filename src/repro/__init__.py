@@ -22,7 +22,27 @@ registries.  ``BarrierPointPipeline``, ``CrossArchStudy`` and
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured comparison of every table and figure.
+
+BLAS threads
+------------
+Study cells are the unit of parallelism, and each cell's k-means runs
+on matrices of a few dozen rows, so importing this package sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+to ``"1"`` in ``os.environ`` unless the caller exported its own value.
+The setting is process-wide: a host application that imports ``repro``
+before numpy gets single-threaded BLAS for all its own work too, and
+every child process it spawns inherits the three variables.  The pin
+must run before anything imports numpy: BLAS reads its thread count
+once, when the library loads, and pool workers are forked from a
+driver that already has it loaded, so setting the environment any
+later (in a pool initializer, say) changes nothing.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from repro.api import (
     PipelineBuilder,

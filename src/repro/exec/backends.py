@@ -142,9 +142,12 @@ BACKEND_NAMES: dict[str, type] = {
 }
 
 
-def default_jobs() -> int:
-    """A sensible worker count for this machine."""
-    return max(1, (os.cpu_count() or 2) - 1)
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def create_backend(name: str | None, jobs: int = 1) -> ExecutionBackend:

@@ -31,6 +31,8 @@ def _parse_budget(text: str) -> int:
 
 
 def _serve_parser() -> argparse.ArgumentParser:
+    from repro.exec.backends import usable_cpus
+
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Run the always-on artifact service over a cache "
@@ -52,9 +54,9 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=4,
+        default=usable_cpus(),
         metavar="N",
-        help="cell executions run concurrently (default 4)",
+        help="cell executions run concurrently (default: the usable CPU count)",
     )
     parser.add_argument(
         "--rate",

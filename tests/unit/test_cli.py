@@ -43,6 +43,13 @@ class TestCli:
     def test_jobs_must_be_positive(self, capsys):
         assert main(["table2", "--jobs", "0"]) == 2
 
+    def test_serve_jobs_default_is_usable_cpus(self, monkeypatch):
+        from repro.serve.cli import _serve_parser
+
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert _serve_parser().parse_args([]).jobs == 3
+        assert _serve_parser().parse_args(["--jobs", "8"]).jobs == 8
+
     def test_max_k_below_two_rejected(self, capsys):
         # maxK = 1 parses but degenerates to a one-cluster sweep (the
         # SimPoint grid floors at max(n_points // 2, 1)); the CLI must

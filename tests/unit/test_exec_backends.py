@@ -1,5 +1,10 @@
 """Tests for the execution backends and the request type."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exec.backends import (
@@ -8,6 +13,7 @@ from repro.exec.backends import (
     SerialBackend,
     ThreadPoolBackend,
     create_backend,
+    usable_cpus,
 )
 from repro.exec.request import StudyRequest
 
@@ -63,3 +69,39 @@ class TestBackends:
 
     def test_jobs_floored_at_one(self):
         assert create_backend("threads", 0).jobs == 1
+
+    def test_usable_cpus_reads_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert usable_cpus() == 3
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+
+
+class TestBlasThreadPin:
+    """Importing ``repro`` pins BLAS/OpenMP to one thread by default.
+
+    Checked in a fresh interpreter: this one imported numpy before
+    ``repro``, so its BLAS already chose a thread count.
+    """
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _read_after_import(self, **exported):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        env.update(exported)
+        code = "import repro, os; print(*(os.environ[v] for v in %r))" % (self.VARS,)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        return out.stdout.split()
+
+    def test_unset_variables_read_one(self):
+        assert self._read_after_import() == ["1", "1", "1"]
+
+    def test_exported_value_wins(self):
+        assert self._read_after_import(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
