@@ -45,17 +45,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api.scaling import SCALING_MACHINES, SCALING_THREAD_COUNTS
+from repro.api import GRID_MACHINES, THREADS
 from repro.exec.scheduler import StudyScheduler
 from repro.experiments.config import default_config
-from repro.experiments.scaling import scaling_request
+from repro.experiments.grid import grid_request
 from repro.workloads.registry import EVALUATED_APPS
 
 #: Bench scales: (protocol scale, apps, machines, thread counts).
 BENCH_SCALES = {
-    "smoke": ("quick", EVALUATED_APPS[:2], SCALING_MACHINES[:2], (1, 2, 4)),
-    "quick": ("quick", EVALUATED_APPS, SCALING_MACHINES, SCALING_THREAD_COUNTS),
-    "full": ("full", EVALUATED_APPS, SCALING_MACHINES, SCALING_THREAD_COUNTS),
+    "smoke": ("quick", EVALUATED_APPS[:2], GRID_MACHINES[:2], (1, 2, 4)),
+    "quick": ("quick", EVALUATED_APPS, GRID_MACHINES, THREADS.values),
+    "full": ("full", EVALUATED_APPS, GRID_MACHINES, THREADS.values),
 }
 
 
@@ -63,11 +63,11 @@ def _grid_requests(apps, machines, thread_counts, config):
     from repro.api.registry import machine_registry
 
     return [
-        scaling_request(app, threads, machine)
+        grid_request(THREADS, app, threads, machine)
         for app in apps
         for machine in machines
         for threads in thread_counts
-        if machine_registry.get(machine).supports_threads(threads)
+        if THREADS.supports(machine_registry.get(machine), threads)
     ]
 
 

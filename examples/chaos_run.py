@@ -27,12 +27,13 @@ Usage::
 import tempfile
 from pathlib import Path
 
+from repro.api import THREADS
 from repro.exec.faults import install_plan, reset_fault_state
 from repro.exec.scheduler import StudyScheduler, _canonical
 from repro.exec.supervise import QuarantinedCellError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.grid import grid_request
 from repro.experiments.runner import crossarch_request
-from repro.experiments.scaling import scaling_request
 
 DRILL = "seed=2017,kill=0.6,exc=0.6,torn=0.6,enospc=0.3,max=1"
 MACHINE = "Intel Core i7-3770"
@@ -116,7 +117,7 @@ def main() -> None:
     _fresh_plane()
     cache = str(tmp / "resume")
     grid = [
-        scaling_request(app, threads, MACHINE)
+        grid_request(THREADS, app, threads, MACHINE)
         for app in ("MCB", "graph500")
         for threads in (1, 2)
     ]

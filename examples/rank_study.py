@@ -14,7 +14,7 @@ Usage::
 
 import os
 
-from repro.api import PipelineConfig, RankStudy
+from repro.api import RANK_THREADS, RANKS, GridStudy, PipelineConfig
 from repro.hw.measure import MeasurementProtocol
 
 MACHINE = "Intel Core i7-3770"
@@ -29,19 +29,17 @@ CONFIG = PipelineConfig(
 
 
 def main() -> None:
-    study = RankStudy(
-        "miniFE", machines=(MACHINE,), rank_counts=(1, 2, 4, 8), config=CONFIG
-    )
+    study = GridStudy("miniFE", RANKS, machines=(MACHINE,), config=CONFIG)
     result = study.run()
 
-    print(f"miniFE on {MACHINE!r} — {result.threads} threads per rank\n")
+    print(f"miniFE on {MACHINE!r} — {RANK_THREADS} threads per rank\n")
     header = (
         f"{'ranks':>5} {'wall Mcyc':>12} {'comm %':>7} {'speedup':>8} "
         f"{'eff %':>6} {'BPs':>9} {'CPI err %':>10}"
     )
     print(header)
     print("-" * len(header))
-    for ranks in result.rank_counts:
+    for ranks in result.values:
         cell = result.cell(MACHINE, ranks)
         speedup = result.speedup(MACHINE, ranks)
         efficiency = result.efficiency_pct(MACHINE, ranks)

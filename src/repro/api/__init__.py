@@ -21,14 +21,14 @@ Workloads, machines and stages live in open registries
 lookup, so new applications, platforms and clustering variants plug in
 without touching core files.
 
-Axis sweeps build on the same graph: :class:`ScalingStudy` asks
-whether a representative region survives team growth, and
-:class:`RankStudy` whether it survives distribution over MPI-style
-ranks (per-rank discovery through the registered ``rankify`` /
-``coalesce_ranks`` stages, communication priced by each machine's
-network model).  The legacy ``BarrierPointPipeline`` /
-``CrossArchStudy`` / ``create_workload`` entry points remain as
-deprecation-shimmed facades over this package.
+Axis sweeps build on the same graph: :class:`GridStudy` over the
+:data:`THREADS` axis asks whether a representative region survives
+team growth, and over the :data:`RANKS` axis whether it survives
+distribution over MPI-style ranks (per-rank discovery through the
+registered ``rankify`` / ``coalesce_ranks`` stages, communication
+priced by each machine's network model).  The legacy
+``BarrierPointPipeline`` / ``CrossArchStudy`` / ``create_workload``
+entry points remain as deprecation-shimmed facades over this package.
 """
 
 from repro.api.builder import (
@@ -38,6 +38,18 @@ from repro.api.builder import (
     build_pipeline,
 )
 from repro.api.context import StageContext
+from repro.api.grid import (
+    GRID_MACHINES,
+    RANK_THREADS,
+    RANKS,
+    THREADS,
+    Axis,
+    GridCell,
+    GridResult,
+    GridStudy,
+    default_rank_stages,
+    run_grid_cell,
+)
 from repro.api.registry import (
     PluginRegistry,
     machine_registry,
@@ -51,24 +63,6 @@ from repro.api.rank_stages import (
     CoalesceRanksStage,
     RankifyStage,
     coalesce_signatures,
-)
-from repro.api.ranks import (
-    RANK_COUNTS,
-    RANK_MACHINES,
-    RANK_THREADS,
-    RankCell,
-    RankResult,
-    RankStudy,
-    default_rank_stages,
-    run_rank_cell,
-)
-from repro.api.scaling import (
-    SCALING_MACHINES,
-    SCALING_THREAD_COUNTS,
-    ScalingCell,
-    ScalingResult,
-    ScalingStudy,
-    run_scaling_cell,
 )
 from repro.api.stage import Stage
 from repro.api.stages import (
@@ -117,23 +111,19 @@ __all__ = [
     "evaluate_selection",
     "CrossArchResult",
     "run_crossarch",
-    "SCALING_MACHINES",
-    "SCALING_THREAD_COUNTS",
-    "ScalingCell",
-    "ScalingResult",
-    "ScalingStudy",
-    "run_scaling_cell",
-    "RANK_COUNTS",
-    "RANK_MACHINES",
+    "Axis",
+    "THREADS",
+    "RANKS",
+    "GRID_MACHINES",
     "RANK_THREADS",
-    "RankCell",
-    "RankResult",
-    "RankStudy",
+    "GridCell",
+    "GridResult",
+    "GridStudy",
+    "run_grid_cell",
     "RankifyStage",
     "CoalesceRanksStage",
     "coalesce_signatures",
     "default_rank_stages",
-    "run_rank_cell",
     "EvaluationResult",
     "PipelineConfig",
     "SupportsProgram",

@@ -162,18 +162,21 @@ def encode_payload(payload) -> tuple[object, list[np.ndarray]]:
     True
     """
     arrays: list[np.ndarray] = []
+    return _encode_node(payload, arrays), arrays
 
-    def walk(node):
-        if isinstance(node, np.ndarray):
-            arrays.append(_as_little_endian(node))
-            return {_ARRAY_KEY: len(arrays) - 1}
-        if isinstance(node, dict):
-            return {key: walk(value) for key, value in node.items()}
-        if isinstance(node, (list, tuple)):
-            return [walk(value) for value in node]
-        return node
 
-    return walk(payload), arrays
+def _encode_node(node, arrays: list[np.ndarray]):
+    # A module-level walker, not a recursive closure: a closure that
+    # refers to itself forms a reference cycle that would keep
+    # ``arrays`` alive until the cyclic collector runs.
+    if isinstance(node, np.ndarray):
+        arrays.append(_as_little_endian(node))
+        return {_ARRAY_KEY: len(arrays) - 1}
+    if isinstance(node, dict):
+        return {key: _encode_node(value, arrays) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_encode_node(value, arrays) for value in node]
+    return node
 
 
 def decode_payload(meta, arrays: list[np.ndarray]):

@@ -104,9 +104,10 @@ class RankifyStage(Stage):
 
     Requires a workload wrapped in
     :class:`~repro.workloads.distributed.DistributedWorkload`; the
-    assembled graph is what :class:`repro.api.RankStudy` executes::
+    assembled graph is what :class:`repro.api.GridStudy` executes on
+    the :data:`repro.api.RANKS` axis::
 
-        RankStudy("miniFE", rank_counts=(1, 2, 4)).run()
+        GridStudy("miniFE", RANKS, values=(1, 2, 4)).run()
     """
 
     name = "rankify"

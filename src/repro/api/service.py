@@ -187,14 +187,12 @@ class CellSubmission:
             from repro.experiments.runner import crossarch_request
 
             return crossarch_request(app, self.threads)
-        if self.kind == "scaling":
-            from repro.experiments.scaling import scaling_request
+        if self.kind in ("scaling", "ranks"):
+            from repro.experiments.grid import AXES, grid_request
 
-            return scaling_request(app, self.threads, self.canonical_machine())
-        if self.kind == "ranks":
-            from repro.experiments.ranks import rank_request
-
-            return rank_request(app, int(self.ranks), self.canonical_machine())
+            axis = AXES[self.kind]
+            value = axis.value(self.ranks, self.threads)
+            return grid_request(axis, app, value, self.canonical_machine())
         from repro.experiments.trace import trace_request
 
         accesses = self.accesses if self.accesses is not None else config.trace_accesses

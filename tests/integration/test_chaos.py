@@ -10,13 +10,14 @@ executing only the unfinished cells.
 
 import pytest
 
+from repro.api import THREADS
 from repro.exec.chaos import chaos_main
 from repro.exec.faults import install_plan, reset_fault_state
 from repro.exec.scheduler import StudyScheduler, _canonical
 from repro.exec.supervise import QuarantinedCellError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.grid import grid_request
 from repro.experiments.runner import crossarch_request
-from repro.experiments.scaling import scaling_request
 
 APPS = ("MCB", "graph500")
 MACHINE = "Intel Core i7-3770"
@@ -181,7 +182,7 @@ class TestCheckpointResume:
         """Simulated mid-grid crash: finished cells reload, rest run."""
         cache = str(tmp_path / "cache")
         requests = [
-            scaling_request(app, t, MACHINE) for app in APPS for t in (1, 2)
+            grid_request(THREADS, app, t, MACHINE) for app in APPS for t in (1, 2)
         ]
 
         # "Crash" after two cells: the checkpoint journal is written
@@ -205,7 +206,7 @@ class TestCheckpointResume:
     def test_torn_parked_payload_recomputes_on_resume(self, tmp_path):
         """Parked payloads skip the fsync: a torn one heals to a rerun."""
         cache = str(tmp_path / "cache")
-        request = scaling_request("MCB", 2, MACHINE)
+        request = grid_request(THREADS, "MCB", 2, MACHINE)
         first = StudyScheduler(_config(cache_dir=cache))
         expected = first.run([request])
         first.checkpoint.close()
@@ -221,7 +222,7 @@ class TestCheckpointResume:
 
     def test_without_resume_flag_uncacheable_cells_recompute(self, tmp_path):
         cache = str(tmp_path / "cache")
-        request = scaling_request("MCB", 2, MACHINE)
+        request = grid_request(THREADS, "MCB", 2, MACHINE)
         StudyScheduler(_config(cache_dir=cache)).run([request])
 
         fresh = StudyScheduler(_config(cache_dir=cache))  # no resume=True
@@ -231,7 +232,7 @@ class TestCheckpointResume:
 
     def test_checkpoint_clear_forgets_progress(self, tmp_path):
         cache = str(tmp_path / "cache")
-        request = scaling_request("MCB", 1, MACHINE)
+        request = grid_request(THREADS, "MCB", 1, MACHINE)
         first = StudyScheduler(_config(cache_dir=cache))
         first.run([request])
         first.checkpoint.clear()

@@ -1,52 +1,30 @@
-"""Integration tests: the distributed-memory rank subsystem.
+"""Integration tests: the rank-only parts of the distributed-memory grid.
 
-Covers the acceptance properties of the rank PR:
+Covers what the rank axis adds on top of the properties every grid
+shares (those are checked once per axis in ``test_grid.py``):
 
-* ``repro ranks`` payloads and rendering are byte-identical across the
-  serial, threads and processes backends;
-* collective operations induce the same region boundaries on every
-  rank, end to end through the rank stages (every rank's observations
-  cover the same barrier points);
-* the :class:`~repro.api.ranks.RankStudy` public API composes the
-  registered rank-aware stages, reports the communication share, and
-  its speedup/efficiency accounting is self-consistent;
-* discovery-side stage payloads are shared across machines through the
-  stage store.
+* the rank-aware stage graph is registered, and collective operations
+  induce the same region boundaries on every rank, end to end through
+  the rank stages (every rank's observations cover the same barrier
+  points);
+* a pre-wrapped rank job must match the cell's rank count;
+* the rank count and the communication schedule are part of the
+  stage-cache identity;
+* the communication bill rides the cached measure stage.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import PipelineConfig, RankStudy
-from repro.api.ranks import RANK_THREADS, default_rank_stages, run_rank_cell
+from repro.api import RANK_THREADS, RANKS, PipelineConfig, default_rank_stages, run_grid_cell
 from repro.api.registry import stage_registry
-from repro.exec.scheduler import StudyScheduler
 from repro.exec.stagestore import StageStore
-from repro.experiments import ranks as ranks_exp
-from repro.experiments.config import default_config
-from repro.hw.machines import APM_XGENE, INTEL_I7_3770
+from repro.hw.machines import INTEL_I7_3770
 from repro.hw.measure import MeasurementProtocol
 
 FAST = PipelineConfig(
     discovery_runs=2, protocol=MeasurementProtocol(repetitions=3)
 )
-
-MACHINES = (INTEL_I7_3770.name, APM_XGENE.name)
-
-
-def _small_requests(apps=("MCB",), rank_counts=(1, 2)):
-    return [
-        ranks_exp.rank_request(app, ranks, machine)
-        for app in apps
-        for machine in MACHINES
-        for ranks in rank_counts
-    ]
-
-
-def _grid_config(tmp_path, **overrides):
-    return default_config(
-        "quick", cache_dir=str(tmp_path / "cache"), **overrides
-    )
 
 
 class TestRankStages:
@@ -96,93 +74,20 @@ class TestRankStages:
 
 
 class TestRankStudyApi:
-    def test_grid_and_unsupported_split(self):
-        study = RankStudy(
-            "MCB", machines=MACHINES, rank_counts=(1, 4), threads=16,
-            config=FAST,
-        )
-        assert study.grid() == []
-        unsupported = study.unsupported()
-        assert unsupported[(INTEL_I7_3770.name, 4)] == (
-            "team of 16 exceeds 8 hardware contexts per node"
-        )
-
-    def test_run_reports_speedup_comm_and_cpi(self, tmp_path):
-        study = RankStudy(
-            "MCB", machines=MACHINES, rank_counts=(1, 2), config=FAST
-        )
-        result = study.run(StageStore(tmp_path / "stages"))
-        assert result.speedup(INTEL_I7_3770.name, 1) == pytest.approx(1.0)
-        base = result.cell(INTEL_I7_3770.name, 1)
-        assert base.comm_mcycles == 0.0 and base.comm_pct == 0.0
-        for machine in MACHINES:
-            cell = result.cell(machine, 2)
-            assert cell.ranks == 2 and cell.threads == RANK_THREADS
-            assert cell.comm_mcycles > 0.0
-            assert 0.0 < cell.comm_pct < 100.0
-            assert 1.0 < result.speedup(machine, 2) < 4.0
-            assert cell.k >= 1
-            assert cell.cpi_true > 0 and cell.cpi_estimate > 0
-            assert cell.cpi_error_pct < 50.0
-        assert result.speedup(INTEL_I7_3770.name, 8) is None
-
-    def test_discovery_stages_shared_across_machines(self, tmp_path):
-        store = StageStore(tmp_path / "stages")
-        run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST, store=store)
-        store.stats.reset()
-        run_rank_cell("MCB", APM_XGENE.name, 2, config=FAST, store=store)
-        for stage in ("rankify", "coalesce_ranks", "cluster", "select"):
-            assert store.stats.hit_count(stage) == 1, stage
-        assert store.stats.miss_count("measure") == 1
-
-    def test_cell_payload_roundtrip(self):
-        from repro.api.ranks import RankCell
-
-        cell = run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST)
-        assert RankCell.from_payload(cell.to_payload()) == cell
-
     def test_prewrapped_workload_rank_mismatch_rejected(self):
         from repro.workloads.distributed import DistributedWorkload
 
         job = DistributedWorkload("MCB", ranks=2)
         with pytest.raises(ValueError, match="wrapped for 2 ranks"):
-            run_rank_cell(job, INTEL_I7_3770.name, 4, config=FAST)
+            run_grid_cell(job, INTEL_I7_3770.name, RANKS, 4, FAST)
 
 
 class TestRankDeterminism:
-    def test_table_identical_across_backends(self, tmp_path):
-        requests = _small_requests()
-        renders = {}
-        payloads = {}
-        for backend in ("serial", "threads", "processes"):
-            config = default_config(
-                "quick",
-                cache_dir=str(tmp_path / backend),
-                jobs=2,
-                backend=backend,
-            )
-            scheduler = StudyScheduler(config)
-            results = scheduler.run(requests)
-            payloads[backend] = results
-            renders[backend] = ranks_exp.build(results, config).render()
-        assert payloads["serial"] == payloads["threads"] == payloads["processes"]
-        assert renders["serial"] == renders["threads"] == renders["processes"]
-        # The 1-rank rows anchor the baseline with a zero comm bill.
-        assert "0.00" in renders["serial"]
-
-    def test_rerender_identical_from_stage_cache(self, tmp_path):
-        requests = _small_requests()
-        config = _grid_config(tmp_path)
-        cold = StudyScheduler(config).run(requests)
-        warm = StudyScheduler(config).run(requests)
-        assert warm == cold
-
     def test_phase_count_is_part_of_the_cache_identity(self, tmp_path):
         # Jobs with different communication schedules must never share
         # stage-cache entries: the phase count enters the rankify cache
         # key and relocates the whole digest chain.
         from repro.api.builder import StagePipeline
-        from repro.api.ranks import default_rank_stages
         from repro.workloads.distributed import DistributedWorkload
 
         store = StageStore(tmp_path / "stages")
@@ -204,7 +109,7 @@ class TestRankDeterminism:
         from repro.api.builder import build_pipeline
 
         store = StageStore(tmp_path / "stages")
-        run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST, store=store)
+        run_grid_cell("MCB", INTEL_I7_3770.name, RANKS, 2, FAST, store)
         store.stats.reset()
         build_pipeline("MCB", threads=RANK_THREADS, config=FAST).run(store)
         assert store.stats.hit_count("profile") == 0
@@ -218,7 +123,7 @@ class TestCachedCommBill:
         self, tmp_path, monkeypatch
     ):
         store = StageStore(tmp_path / "stages")
-        cold = run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST, store=store)
+        cold = run_grid_cell("MCB", INTEL_I7_3770.name, RANKS, 2, FAST, store)
 
         def _forbidden(*args, **kwargs):
             raise AssertionError("a warm rank cell re-ran the whole program")
@@ -227,7 +132,7 @@ class TestCachedCommBill:
             "repro.runtime.distributed.execute_distributed", _forbidden
         )
         monkeypatch.setattr("repro.hw.perf.PerfModel.true_counters", _forbidden)
-        warm = run_rank_cell("MCB", INTEL_I7_3770.name, 2, config=FAST, store=store)
+        warm = run_grid_cell("MCB", INTEL_I7_3770.name, RANKS, 2, FAST, store)
         assert warm.to_payload() == cold.to_payload()
         assert warm == cold
         assert cold.comm_mcycles > 0.0

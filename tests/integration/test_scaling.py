@@ -1,32 +1,19 @@
-"""Integration tests: the strong-scaling subsystem.
+"""Integration tests: stage-cache statistics of the strong-scaling grid.
 
-Covers the three acceptance properties of the scaling PR:
-
-* the scaling table is deterministic — byte-identical payloads and
-  rendering across the serial, threads and processes backends;
-* stage-cache hit/miss counters survive the ``processes`` backend (the
-  scheduler merges worker deltas into the parent store), so a fully
-  stage-cached parallel re-render reports its traffic instead of
-  "no stage cache traffic";
-* the :class:`~repro.api.scaling.ScalingStudy` public API composes the
-  registered stages, reports unsupported widths explicitly, and its
-  speedup/efficiency accounting is self-consistent.
+Stage-cache hit/miss counters survive the ``processes`` backend (the
+scheduler merges worker deltas into the parent store), so a fully
+stage-cached parallel re-render of the scaling grid reports its traffic
+instead of "no stage cache traffic".  The properties the scaling grid
+shares with the rank grid are checked once per axis in
+``test_grid.py``.
 """
 
-import pytest
-
-from repro.api import PipelineConfig, ScalingStudy
-from repro.api.scaling import run_scaling_cell
+from repro.api import THREADS
 from repro.exec.scheduler import StudyScheduler
-from repro.exec.stagestore import StageStore, stage_store_for
-from repro.experiments import scaling as scaling_exp
+from repro.exec.stagestore import stage_store_for
 from repro.experiments.config import default_config
+from repro.experiments.grid import grid_request
 from repro.hw.machines import APM_XGENE, INTEL_I7_3770
-from repro.hw.measure import MeasurementProtocol
-
-FAST = PipelineConfig(
-    discovery_runs=2, protocol=MeasurementProtocol(repetitions=3)
-)
 
 #: A small grid: 2 machines x widths, one app — fast but real.
 MACHINES = (INTEL_I7_3770.name, APM_XGENE.name)
@@ -34,7 +21,7 @@ MACHINES = (INTEL_I7_3770.name, APM_XGENE.name)
 
 def _small_requests(apps=("MCB",), thread_counts=(1, 2)):
     return [
-        scaling_exp.scaling_request(app, threads, machine)
+        grid_request(THREADS, app, threads, machine)
         for app in apps
         for machine in MACHINES
         for threads in thread_counts
@@ -45,88 +32,6 @@ def _grid_config(tmp_path, **overrides):
     return default_config(
         "quick", cache_dir=str(tmp_path / "cache"), **overrides
     )
-
-
-class TestScalingStudyApi:
-    def test_grid_and_unsupported_split(self):
-        study = ScalingStudy(
-            "MCB", machines=MACHINES, thread_counts=(1, 2, 16), config=FAST
-        )
-        grid = study.grid()
-        assert [(m.name, t) for m, t in grid] == [
-            (INTEL_I7_3770.name, 1),
-            (INTEL_I7_3770.name, 2),
-            (APM_XGENE.name, 1),
-            (APM_XGENE.name, 2),
-        ]
-        unsupported = study.unsupported()
-        assert unsupported[(INTEL_I7_3770.name, 16)] == (
-            "exceeds 8 hardware contexts"
-        )
-        assert unsupported[(APM_XGENE.name, 16)] == "exceeds 8 hardware contexts"
-
-    def test_run_reports_speedup_and_cpi(self, tmp_path):
-        study = ScalingStudy(
-            "MCB", machines=MACHINES, thread_counts=(1, 2), config=FAST
-        )
-        result = study.run(StageStore(tmp_path / "stages"))
-        assert result.speedup(INTEL_I7_3770.name, 1) == pytest.approx(1.0)
-        assert result.efficiency_pct(INTEL_I7_3770.name, 1) == pytest.approx(100.0)
-        for machine in MACHINES:
-            speedup = result.speedup(machine, 2)
-            assert 1.0 < speedup < 4.0
-            cell = result.cell(machine, 2)
-            assert cell.k >= 1
-            assert cell.cpi_true > 0 and cell.cpi_estimate > 0
-            assert cell.cpi_error_pct < 50.0
-        # 16 was not requested: speedup for absent widths is None.
-        assert result.speedup(INTEL_I7_3770.name, 16) is None
-
-    def test_discovery_stages_shared_across_machines(self, tmp_path):
-        # Both machines at the same (app, threads) reuse the x86_64-side
-        # stage payloads: the second cell hits profile..select.
-        store = StageStore(tmp_path / "stages")
-        run_scaling_cell("MCB", INTEL_I7_3770.name, 2, FAST, store)
-        store.stats.reset()
-        run_scaling_cell("MCB", APM_XGENE.name, 2, FAST, store)
-        for stage in ("profile", "signature", "cluster", "select"):
-            assert store.stats.hit_count(stage) == 1, stage
-        assert store.stats.miss_count("measure") == 1
-
-    def test_cell_payload_roundtrip(self, tmp_path):
-        from repro.api.scaling import ScalingCell
-
-        cell = run_scaling_cell("MCB", INTEL_I7_3770.name, 2, FAST)
-        assert ScalingCell.from_payload(cell.to_payload()) == cell
-
-
-class TestScalingDeterminism:
-    def test_table_identical_across_backends(self, tmp_path):
-        requests = _small_requests()
-        renders = {}
-        payloads = {}
-        for backend in ("serial", "threads", "processes"):
-            config = default_config(
-                "quick",
-                cache_dir=str(tmp_path / backend),
-                jobs=2,
-                backend=backend,
-            )
-            scheduler = StudyScheduler(config)
-            results = scheduler.run(requests)
-            payloads[backend] = results
-            renders[backend] = scaling_exp.build(results, config).render()
-        assert payloads["serial"] == payloads["threads"] == payloads["processes"]
-        assert renders["serial"] == renders["threads"] == renders["processes"]
-        # The 16-wide column renders as an explicit unsupported row.
-        assert "exceeds 8 hardware contexts" in renders["serial"]
-
-    def test_rerender_identical_from_stage_cache(self, tmp_path):
-        requests = _small_requests()
-        config = _grid_config(tmp_path)
-        cold = StudyScheduler(config).run(requests)
-        warm = StudyScheduler(config).run(requests)
-        assert warm == cold
 
 
 class TestProcessBackendStageStats:

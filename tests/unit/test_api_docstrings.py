@@ -20,10 +20,9 @@ DOCTEST_MODULES = (
     "repro.api.builder",
     "repro.api.codec",
     "repro.api.context",
-    "repro.api.ranks",
+    "repro.api.grid",
     "repro.api.rank_stages",
     "repro.api.registry",
-    "repro.api.scaling",
     "repro.api.study",
     "repro.api.types",
     "repro.workloads.distributed",

@@ -1,6 +1,8 @@
 """Unit tests: the binary columnar container and the codec planes."""
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -65,6 +67,19 @@ class TestEncodePayload:
             a.nbytes for a in encode_payload(PAYLOAD)[1]
         )
         assert payload_nbytes({"just": "json", "k": [1, 2]}) == 0
+
+    def test_encoding_leaves_no_reference_cycle(self):
+        # Encoded arrays must be freed by reference counting once the
+        # caller drops them, not kept until the cyclic collector runs.
+        array = np.arange(8.0)
+        ref = weakref.ref(array)
+        gc.disable()
+        try:
+            meta, arrays = encode_payload({"x": array})
+            del array, meta, arrays
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_legacy_plane_is_inverse_too(self):
         jsonable = payload_to_jsonable(PAYLOAD)
